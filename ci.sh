@@ -52,10 +52,17 @@ printf '%s\n' "$out" | grep -q "unknown"
 # Symmetry reduction (PR 9): the heavy differential + KAT tests are
 # #[ignore]d for the debug tier-1 run above; run them here in release
 # mode — reduced-vs-naive parity at n=4,f=2 (the largest naive build
-# that fits), parity under minimisation at n=3,f=2, and the f=3
-# safety + CK-onset pins on the reduced system.
+# that fits), parity under minimisation at n=3,f=2, the f=3
+# safety + CK-onset pins on the reduced system, and the memoised view
+# ids against per-point interning on the reduced n=4,f=2 frame.
 cargo test -q --release -p hm-engine --test symmetry -- --include-ignored
 cargo test -q --release -p hm-core agreement -- --ignored
+
+# Benchmark smoke: every BENCHMARK.json workload runs for ~1 s, untraced
+# and traced, and exits non-zero unless every answer matches its oracle
+# (on agreement-cold: the pinned 6,268 of 19,680 CK count, the clean-run
+# onset at tick 4, and equality with the tree-walking evaluator).
+cargo run --release --offline --manifest-path e2ebench/Cargo.toml -- --smoke
 
 # f=3 interactive smoke with a wall-clock guard: the acceptance bound
 # is < 10 s in release mode for build + CK-onset query, end to end.

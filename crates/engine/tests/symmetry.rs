@@ -28,9 +28,14 @@
 
 use hm_core::agreement::{
     canonicalize_pattern, canonicalizing_permutation, crash_patterns, pattern_run_name,
-    AgreementSpec,
+    AgreementSpec, SymmetricHistory,
 };
-use hm_engine::{Engine, EngineError, Query, Session, SpecError};
+use hm_engine::{Engine, EngineError, Query, ScenarioRegistry, Session, SpecError};
+use hm_kripke::{AgentId, WorldId};
+use hm_runs::{
+    last_event_view, ClockOnly, CompleteHistory, InterpretedSystem, SharedLambda, System,
+    ViewFunction, ViewInterner,
+};
 
 /// Queries whose truth value is invariant under process renaming:
 /// anonymous atoms, boolean combinations, and group operators over the
@@ -271,4 +276,103 @@ fn f3_ck_onset_lands_at_round_f_plus_1() {
     let isys = session.interpreted().unwrap();
     let onset = hm_core::agreement::ck_onset_in_clean_run(isys, 0b0110).expect("clean run present");
     assert_eq!(onset, Some(5), "CK onset = round f+1 for f=3");
+}
+
+/// The reference per-point path: `encode_view` then `intern` at every
+/// point, in world order.
+fn reference_view_ids(system: &System, view: &dyn ViewFunction, agent: AgentId) -> Vec<u32> {
+    let mut interner = ViewInterner::new();
+    let mut scratch = Vec::new();
+    let mut ids = Vec::with_capacity(system.num_points());
+    for (_, r) in system.runs() {
+        for t in 0..=r.horizon {
+            scratch.clear();
+            view.encode_view(r, agent, t, &mut scratch);
+            ids.push(interner.intern(&scratch));
+        }
+    }
+    ids
+}
+
+/// Asserts that every agent partition of `isys` carries exactly the
+/// reference view ids as block labels, world for world. Block labels
+/// are issued in first-seen world order, as view ids are, so this pins
+/// the ids themselves, not only the partition they induce.
+fn assert_ids_match(isys: &InterpretedSystem, view: &dyn ViewFunction, what: &str) {
+    let system = isys.system();
+    for i in 0..system.num_procs() {
+        let agent = AgentId::new(i);
+        let partition = isys.model().partition(agent);
+        let reference = reference_view_ids(system, view, agent);
+        let mismatch = (0..system.num_points())
+            .find(|&w| partition.block_of(WorldId::new(w)) as u32 != reference[w]);
+        assert_eq!(
+            mismatch,
+            None,
+            "{what}: agent {i}'s memoised view id differs under {}",
+            view.name()
+        );
+    }
+}
+
+/// Rebuilds `isys`'s run system under the view `make` returns and
+/// checks it against the reference; checks `isys` itself too when that
+/// is its own view. Returns whether it was.
+fn check_view<V: ViewFunction + 'static>(
+    spec: &str,
+    isys: &InterpretedSystem,
+    make: impl Fn() -> V,
+) -> bool {
+    let view = make();
+    let own = view.name() == isys.view_name();
+    if own {
+        assert_ids_match(isys, &view, spec);
+    }
+    let rebuilt = InterpretedSystem::builder(isys.system().clone(), make()).build();
+    assert_ids_match(&rebuilt, &view, spec);
+    own
+}
+
+/// Checks `session`'s run system under each view of the spectrum (and
+/// `SymmetricHistory` on agreement frames), its own view included.
+fn assert_memo_matches_reference(spec: &str, session: &Session) {
+    let Some(isys) = session.interpreted() else {
+        return; // a Kripke-structured frame: no views to build
+    };
+    let n = isys.system().num_procs();
+    let mut own = check_view(spec, isys, || CompleteHistory)
+        | check_view(spec, isys, || SharedLambda)
+        | check_view(spec, isys, || ClockOnly)
+        | check_view(spec, isys, last_event_view);
+    if spec.starts_with("agreement") {
+        own |= check_view(spec, isys, || SymmetricHistory::new(n));
+    }
+    assert!(own, "{spec}: own view {} not covered", isys.view_name());
+}
+
+/// The view-id memo (record-prefix trie) must reproduce the per-point
+/// `encode_view` → `intern` ids exactly, on every registered scenario
+/// at its default parameters and on the reduced agreement frame.
+#[test]
+fn memoised_view_ids_match_per_point_interning() {
+    let specs = ScenarioRegistry::builtin()
+        .names()
+        .into_iter()
+        .chain(["agreement:n=3,f=2,mode=reduced".to_string()]);
+    for spec in specs {
+        let session = Engine::for_scenario(spec.as_str())
+            .build()
+            .unwrap_or_else(|e| panic!("{spec}: {e}"));
+        assert_memo_matches_reference(&spec, &session);
+    }
+}
+
+/// The same differential on the benchmark's frame, the reduced n=4, f=2
+/// agreement system. Heavy in debug builds; ci.sh runs it in release
+/// mode.
+#[test]
+#[ignore = "heavy: run with --release via ci.sh"]
+fn memoised_view_ids_match_on_reduced_n4_f2() {
+    let spec = "agreement:n=4,f=2,mode=reduced";
+    assert_memo_matches_reference(spec, &session(4, 2, "reduced", false));
 }

@@ -131,25 +131,16 @@ impl InterpretedSystemBuilder {
             }
             fact_bits.push(bits);
         }
-        // Agent partitions from hash-consed view encodings: one scratch
-        // buffer replayed through an interner per agent — no per-point
-        // allocation — then a dense O(n) partition build from the ids.
-        let mut scratch: Vec<u64> = Vec::new();
+        // Agent partitions: view ids memoised on a record-prefix trie, so
+        // `encode_view` runs once per distinct processor history, not once
+        // per point (see `agent_view_ids`); then a dense O(n) partition
+        // build from the ids.
         let mut ids: Vec<u32> = Vec::with_capacity(num_points);
         let mut partitions: Vec<Partition> = Vec::with_capacity(num_procs);
         for i in 0..num_procs {
-            let agent = AgentId::new(i);
-            let mut interner = ViewInterner::new();
-            ids.clear();
-            for (_, r) in system.runs() {
-                for t in 0..=r.horizon {
-                    budget.tick(Phase::Build)?;
-                    scratch.clear();
-                    self.view.encode_view(r, agent, t, &mut scratch);
-                    ids.push(interner.intern(&scratch));
-                }
-            }
-            partitions.push(Partition::from_dense_keys(num_points, &ids, interner.len()));
+            let num_views =
+                agent_view_ids(&system, &*self.view, AgentId::new(i), &budget, &mut ids)?;
+            partitions.push(Partition::from_dense_keys(num_points, &ids, num_views));
         }
         let quotient = if self.minimize {
             Some(quotient_of(
@@ -187,6 +178,77 @@ impl InterpretedSystemBuilder {
             quotient,
         })
     }
+}
+
+/// Marks the head of a time-0 prefix key. Later keys start with a
+/// prefix-node id (`< 2^32`), so the two kinds never collide.
+const PREFIX_ROOT: u64 = 1 << 32;
+
+/// Fills `ids` with `agent`'s dense view id at every point, in world
+/// order, and returns the number of distinct views.
+///
+/// Each point's *record prefix* — wake time, initial state, the clock
+/// readings up to `t` and the events before `t`, with their times — is
+/// hash-consed incrementally into a trie, one small key per tick:
+/// `[parent node, (new events << 1) | has reading, reading?, (event,
+/// time)*]`, where time 0 replaces the parent node by `[PREFIX_ROOT |
+/// wakes, wake time, initial state]`. A prefix node fixes `t` (its
+/// depth) and everything a [`ViewFunction`] may read, so equal nodes
+/// have equal views and `encode_view` runs once per distinct node, not
+/// once per point. The first point with a given view is always a memo
+/// miss, visited in world order, so the ids are exactly those of
+/// interning `encode_view` at every point.
+///
+/// Charges one [`Phase::Build`] tick per point.
+fn agent_view_ids(
+    system: &System,
+    view: &dyn ViewFunction,
+    agent: AgentId,
+    budget: &Budget,
+    ids: &mut Vec<u32>,
+) -> Result<usize, LimitExceeded> {
+    let mut views = ViewInterner::new();
+    let mut prefixes = ViewInterner::new();
+    // `memo[node]` = view id of prefix node `node` (nodes are dense).
+    let mut memo: Vec<u32> = Vec::new();
+    let mut key: Vec<u64> = Vec::new();
+    let mut scratch: Vec<u64> = Vec::new();
+    ids.clear();
+    for (_, r) in system.runs() {
+        let p = r.proc(agent);
+        let mut node = None;
+        let mut next = 0; // first event not yet in the prefix
+        for t in 0..=r.horizon {
+            budget.tick(Phase::Build)?;
+            key.clear();
+            match node {
+                Some(parent) => key.push(u64::from(parent)),
+                None => key.extend([
+                    PREFIX_ROOT | u64::from(p.wake_time.is_some()),
+                    p.wake_time.unwrap_or(0),
+                    p.initial_state,
+                ]),
+            }
+            let fresh = p.events[next..].partition_point(|e| e.time < t);
+            let reading = p.clock.as_ref().and_then(|c| c.get(t as usize));
+            key.push((fresh as u64) << 1 | u64::from(reading.is_some()));
+            key.extend(reading);
+            for e in &p.events[next..next + fresh] {
+                e.event.encode(&mut key);
+                key.push(e.time);
+            }
+            next += fresh;
+            let n = prefixes.intern(&key);
+            if n as usize == memo.len() {
+                scratch.clear();
+                view.encode_view(r, agent, t, &mut scratch);
+                memo.push(views.intern(&scratch));
+            }
+            ids.push(memo[n as usize]);
+            node = Some(n);
+        }
+    }
+    Ok(views.len())
 }
 
 /// The on-the-fly bisimulation fold: computes the coarsest-bisimulation
@@ -494,10 +556,14 @@ impl TemporalStructure for InterpretedSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Event, Message};
-    use crate::run::RunBuilder;
-    use crate::view::{CompleteHistory, SharedLambda};
+    use crate::event::{Event, Message, TimedEvent};
+    use crate::run::{ProcRecord, RunBuilder};
+    use crate::view::{last_event_view, ClockOnly, CompleteHistory, SharedLambda};
+    use hm_kripke::SplitMix64;
+    use hm_limits::Limits;
     use hm_logic::parse;
+    use proptest::prelude::*;
+    use std::cell::Cell;
 
     fn a(i: usize) -> AgentId {
         AgentId::new(i)
@@ -647,5 +713,227 @@ mod tests {
         }
         // Unminimised builds carry no quotient.
         assert!(interp(msg_system()).quotient().is_none());
+    }
+
+    /// The per-point path the memo replaces: `encode_view` then `intern`
+    /// at every point, in world order.
+    fn reference_view_ids(system: &System, view: &dyn ViewFunction, agent: AgentId) -> Vec<u32> {
+        let mut interner = ViewInterner::new();
+        let mut ids = Vec::new();
+        for (_, r) in system.runs() {
+            for t in 0..=r.horizon {
+                ids.push(interner.intern(&view.view_key(r, agent, t)));
+            }
+        }
+        ids
+    }
+
+    /// Asserts that the memoised ids equal the reference ids, element
+    /// for element, for every agent under every view of this crate.
+    fn assert_memo_matches_reference(system: &System) {
+        let last_event = last_event_view();
+        let views: [&dyn ViewFunction; 4] =
+            [&CompleteHistory, &SharedLambda, &ClockOnly, &last_event];
+        let mut ids = Vec::new();
+        for view in views {
+            for i in 0..system.num_procs() {
+                let reference = reference_view_ids(system, view, a(i));
+                let num_views =
+                    agent_view_ids(system, view, a(i), &Budget::unlimited(), &mut ids).unwrap();
+                assert_eq!(ids, reference, "{} ids of agent {i}", view.name());
+                let distinct = reference.iter().max().map_or(0, |&m| m as usize + 1);
+                assert_eq!(
+                    num_views,
+                    distinct,
+                    "{} view count of agent {i}",
+                    view.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn memoised_view_ids_match_per_point_interning() {
+        assert_memo_matches_reference(&msg_system());
+        // Clocks that stall and jump, a late waker, a processor that
+        // never wakes, and two events in one tick.
+        let msg = Message::tagged(1);
+        let clocked = |name: &str, readings: Vec<u64>, second: bool| {
+            let mut b = RunBuilder::new(name, 3, 3)
+                .wake(a(0), 0, 0)
+                .wake(a(1), 1, 1)
+                .clock_readings(a(0), readings)
+                .perfect_clock(a(1), 2)
+                .event(a(0), 1, Event::Send { to: a(1), msg })
+                .event(a(1), 1, Event::Recv { from: a(0), msg });
+            if second {
+                b = b.event(a(0), 1, Event::Act { action: 3, data: 0 });
+            }
+            b.build()
+        };
+        assert_memo_matches_reference(&System::new(vec![
+            clocked("stall", vec![4, 4, 4, 9], false),
+            clocked("jump", vec![4, 5, 7, 9], true),
+            clocked("stall2", vec![4, 4, 4, 9], true),
+            clocked("jump2", vec![4, 5, 7, 9], false),
+        ]));
+    }
+
+    /// A view that counts its `encode_view` calls.
+    struct Counting<'a>(&'a Cell<usize>);
+
+    impl ViewFunction for Counting<'_> {
+        fn encode_view(&self, run: &Run, i: AgentId, t: u64, out: &mut Vec<u64>) {
+            self.0.set(self.0.get() + 1);
+            CompleteHistory.encode_view(run, i, t, out);
+        }
+
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+    }
+
+    #[test]
+    fn shared_histories_are_encoded_once() {
+        // The two runs agree on p0's record up to the send at t=1, and
+        // p0's record is identical in both: its 4 points per run are
+        // encoded once in all.
+        let calls = Cell::new(0);
+        let mut ids = Vec::new();
+        let system = msg_system();
+        agent_view_ids(
+            &system,
+            &Counting(&calls),
+            a(0),
+            &Budget::unlimited(),
+            &mut ids,
+        )
+        .unwrap();
+        assert_eq!(calls.get(), 4);
+        assert_eq!(ids, [0, 0, 1, 1, 0, 0, 1, 1]);
+        // p1 diverges at the receive, which enters its history at t=3.
+        calls.set(0);
+        agent_view_ids(
+            &system,
+            &Counting(&calls),
+            a(1),
+            &Budget::unlimited(),
+            &mut ids,
+        )
+        .unwrap();
+        assert_eq!(calls.get(), 5);
+        assert_eq!(ids, [0, 0, 0, 1, 0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn view_ids_charge_one_tick_per_point() {
+        let system = msg_system();
+        let points = system.num_points() as u64;
+        let run = |max| {
+            let budget = Limits::none().max_states_visited(max).budget();
+            agent_view_ids(&system, &CompleteHistory, a(0), &budget, &mut Vec::new())
+                .and_then(|_| budget.check_now(Phase::Build))
+        };
+        assert!(run(points).is_ok());
+        assert_eq!(run(points - 1).unwrap_err().spent, points);
+    }
+
+    /// A random system whose records share prefixes often: small event
+    /// and state alphabets, and runs that copy an earlier run's records
+    /// up to a random tick before diverging. Records are built by hand,
+    /// so events may precede the wake time and processors that never
+    /// wake may still carry events.
+    fn random_system(seed: u64) -> System {
+        let mut s = SplitMix64::new(seed);
+        let n = 1 + s.next_below(3) as usize;
+        let mut runs: Vec<Run> = Vec::new();
+        for k in 0..1 + s.next_below(8) {
+            let horizon = s.next_below(7);
+            let random_event = |s: &mut SplitMix64| match s.next_below(3) {
+                0 => Event::Send {
+                    to: a(s.next_below(n as u64) as usize),
+                    msg: Message::tagged(1),
+                },
+                1 => Event::Recv {
+                    from: a(s.next_below(n as u64) as usize),
+                    msg: Message::new(1, s.next_below(2)),
+                },
+                _ => Event::Act {
+                    action: 0,
+                    data: s.next_below(2),
+                },
+            };
+            let fresh_events = |s: &mut SplitMix64, from: u64| -> Vec<TimedEvent> {
+                (0..s.next_below(5))
+                    .filter_map(|_| {
+                        let t = from + s.next_below(horizon + 1);
+                        (t <= horizon).then(|| TimedEvent::new(t, random_event(s)))
+                    })
+                    .collect()
+            };
+            let parent = (!runs.is_empty() && s.next_below(2) == 0)
+                .then(|| runs[s.next_below(runs.len() as u64) as usize].clone());
+            let procs = (0..n)
+                .map(|i| {
+                    let mut p = match &parent {
+                        // Keep the parent's record up to a random tick.
+                        Some(r) => {
+                            let split = s.next_below(horizon + 1);
+                            let q = &r.procs[i];
+                            let mut events: Vec<TimedEvent> = q
+                                .events
+                                .iter()
+                                .filter(|e| e.time < split)
+                                .copied()
+                                .collect();
+                            events.extend(fresh_events(&mut s, split));
+                            let clock = q.clock.as_ref().map(|c| {
+                                let mut c = c.clone();
+                                c.resize(horizon as usize + 1, c.last().copied().unwrap_or(0));
+                                c
+                            });
+                            ProcRecord {
+                                wake_time: q.wake_time.filter(|&w| w <= horizon),
+                                initial_state: q.initial_state,
+                                clock,
+                                events,
+                            }
+                        }
+                        None => ProcRecord {
+                            wake_time: (s.next_below(4) != 0).then(|| s.next_below(horizon + 1)),
+                            initial_state: s.next_below(2),
+                            clock: match s.next_below(3) {
+                                0 => None,
+                                1 => Some(vec![s.next_below(3); horizon as usize + 1]),
+                                _ => Some(
+                                    (0..=horizon)
+                                        .scan(0, |c, _| {
+                                            *c += s.next_below(3);
+                                            Some(*c)
+                                        })
+                                        .collect(),
+                                ),
+                            },
+                            events: fresh_events(&mut s, 0),
+                        },
+                    };
+                    p.events.sort_by_key(|e| e.time);
+                    p
+                })
+                .collect();
+            runs.push(Run {
+                name: format!("r{k}"),
+                procs,
+                horizon,
+            });
+        }
+        System::new(runs)
+    }
+
+    proptest! {
+        #[test]
+        fn memoised_view_ids_match_on_random_runs(seed in 0u64..u64::MAX) {
+            assert_memo_matches_reference(&random_system(seed));
+        }
     }
 }

@@ -15,11 +15,15 @@
 //!
 //! Views are canonical integer encodings *appended into a caller-supplied
 //! scratch buffer*: two points get the same view iff their encodings are
-//! equal. The hot path never materialises a `Vec` per point — the
-//! interpreted-system builder replays one scratch buffer through a
-//! [`ViewInterner`](crate::ViewInterner), which hash-conses each encoding
-//! into a dense `u32` view id, and agent partitions are built directly
-//! from those ids (see E16 for the view-spectrum tests over this scheme).
+//! equal. On the hot path the interpreted-system builder does not encode
+//! every point: it hash-conses each point's *record prefix* (the part of
+//! the processor's record a view may read, see [`ViewFunction`]) into a
+//! trie, one small key per tick, and calls
+//! [`encode_view`](ViewFunction::encode_view) only for a prefix it has not
+//! seen. Each such encoding goes through a
+//! [`ViewInterner`](crate::ViewInterner) into a dense `u32` view id, and
+//! agent partitions are built directly from those ids (see E16 for the
+//! view-spectrum tests over this scheme).
 
 use crate::run::{ProcRecord, Run};
 use hm_kripke::AgentId;
@@ -27,11 +31,22 @@ use hm_kripke::AgentId;
 /// A view function: assigns a canonical key to each (processor, point).
 ///
 /// Implementations must be functions of the processor's *history* — they
-/// may not peek at real time or at other processors' records (this is the
-/// paper's requirement that `h(p,r,t) = h(p,r',t')` implies
+/// may not peek at other processors' records (this is the paper's
+/// requirement that `h(p,r,t) = h(p,r',t')` implies
 /// `v(p,r,t) = v(p,r',t')`). [`CompleteHistory`] is the finest admissible
 /// view; coarser views must factor through it (spot-checked
 /// by the E16 view-spectrum tests).
+///
+/// # Contract
+///
+/// `encode_view(run, i, t, ..)` may read only `run.proc(i)`'s wake time,
+/// its initial state, its clock readings at times `≤ t`, its events with
+/// time `< t` (with their times), and `t` itself — nothing else of `run`
+/// (not its name, horizon or other records). The interpreted-system
+/// builder relies on this: it calls `encode_view` once per distinct
+/// prefix of that data and reuses the resulting view id at every other
+/// point with the same prefix, so a view reading anything more would get
+/// ids computed at some other point.
 pub trait ViewFunction {
     /// Appends the canonical key of processor `i`'s view at `(run, t)`
     /// onto `out` (which may hold unrelated prefix data the implementation

@@ -136,6 +136,27 @@ fn read_line_by(
     }
 }
 
+/// Discards what the peer is still sending, until it closes, `cap`
+/// bytes have gone, `deadline` passes or the socket fails. Closing a
+/// socket with unread input makes the kernel answer with a reset, which
+/// can destroy a response the peer has not read yet; a caller that
+/// refuses a request before reading its body shuts down its write half
+/// and drains here first.
+pub(crate) fn drain_input(reader: &mut BufReader<TcpStream>, deadline: Deadline, mut cap: usize) {
+    while cap > 0 && !deadline.expired() {
+        match reader.fill_buf() {
+            Ok([]) => return,
+            Ok(bytes) => {
+                let n = bytes.len().min(cap);
+                reader.consume(n);
+                cap -= n;
+            }
+            Err(e) if is_timeout(&e) || e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return,
+        }
+    }
+}
+
 /// Reads one request, honouring the stream's read timeout.
 ///
 /// Before the first byte, every timeout poll returns

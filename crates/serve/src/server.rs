@@ -23,7 +23,7 @@
 //! so.
 
 use crate::cache::EngineCache;
-use crate::http::{read_request, write_response, ReadOutcome, Request};
+use crate::http::{drain_input, read_request, write_response, ReadOutcome, Request, MAX_BODY};
 use crate::json::{esc, Value};
 use crate::stats::{Observation, Stats};
 use hm_engine::limits::Deadline;
@@ -32,7 +32,7 @@ use hm_engine::{
 };
 use std::fmt::Write as _;
 use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
@@ -89,6 +89,10 @@ impl Default for ServeConfig {
 /// How long a worker waits on an idle keep-alive connection before
 /// checking for shutdown.
 const IDLE_POLL: Duration = Duration::from_millis(200);
+
+/// Most bytes of an oversized request discarded before its connection
+/// is closed.
+const MAX_DRAIN: usize = 4 * MAX_BODY;
 
 /// Idle polls before a keep-alive connection is dropped (~30 s).
 const IDLE_POLLS_MAX: u32 = 150;
@@ -410,8 +414,18 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
             }
             ReadOutcome::Closed => return,
             ReadOutcome::TooLarge => {
+                // The body is still on its way: close gracefully, or the
+                // unread input turns the close into a reset that can
+                // destroy the 413 before the client reads it.
                 let body = error_body("request", "request body exceeds 1 MiB");
                 finish_write(state, &mut stream, 413, &body);
+                if stream.shutdown(Shutdown::Write).is_ok() {
+                    drain_input(
+                        &mut reader,
+                        Deadline::after(state.request_timeout),
+                        MAX_DRAIN,
+                    );
+                }
                 return;
             }
             ReadOutcome::TimedOut => {
