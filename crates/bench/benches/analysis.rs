@@ -49,7 +49,7 @@ fn foldable_query() -> F {
 }
 
 fn bench_analysis_cost(c: &mut Criterion) {
-    let isys = generals_builder(10, false).unwrap().build();
+    let isys = generals_builder(10).unwrap().build();
     let f = ladder_query();
     let mut group = c.benchmark_group("analysis_cost");
     // The pass itself, frame-resolved: what every Session.ask pays once
@@ -69,7 +69,7 @@ fn bench_analysis_cost(c: &mut Criterion) {
 }
 
 fn bench_simplification_payoff(c: &mut Criterion) {
-    let isys = generals_builder(10, false).unwrap().build();
+    let isys = generals_builder(10).unwrap().build();
     let f = foldable_query();
     let mut group = c.benchmark_group("analysis_payoff");
     // Evaluation cost as written vs after one simplify pass (singleton-C
@@ -98,7 +98,7 @@ fn bench_pre_bind_rejection(c: &mut Criterion) {
     // bind time.
     group.bench_function("build_then_bind_fail", |b| {
         b.iter(|| {
-            let isys = generals_builder(10, false).unwrap().build();
+            let isys = generals_builder(10).unwrap().build();
             let compiled = compile(&Formula::common(
                 AgentGroup::all(2),
                 Formula::atom("dispatchd"),

@@ -1,6 +1,6 @@
 //! One benchmark group per experiment (B1–B18 in DESIGN.md): times the
 //! computation that regenerates each paper claim. The printed series
-//! themselves come from `cargo run -p hm-bench --bin experiments`.
+//! themselves come from `hm exp` (`cargo run -p hm-bench --bin hm -- exp`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hm_core::agreement::{agreement_interpreted, agreement_system, check_safety, AgreementSpec};

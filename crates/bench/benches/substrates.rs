@@ -2,10 +2,11 @@
 //! knowledge kernels, reachability, and run enumeration scaling.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use hm_engine::Limits;
 use hm_kripke::{
     random_model, AgentGroup, AgentId, Partition, RandomModelSpec, SplitMix64, WorldId, WorldSet,
 };
-use hm_netsim::{enumerate_runs, Command, ExecutionSpec, FnProtocol, LocalView, LossyFixedDelay};
+use hm_netsim::{enumerate, Command, ExecutionSpec, FnProtocol, LocalView, LossyFixedDelay};
 use hm_runs::Message;
 use std::hint::black_box;
 
@@ -105,13 +106,14 @@ fn bench_enumeration(c: &mut Criterion) {
             |bench, _| {
                 bench.iter(|| {
                     black_box(
-                        enumerate_runs(
+                        enumerate(
                             &protocol,
                             &LossyFixedDelay { delay: 1 },
-                            &ExecutionSpec::simple(2, msgs as u64 + 2),
-                            1 << 14,
+                            &[ExecutionSpec::simple(2, msgs as u64 + 2)],
+                            &Limits::none().max_runs(1 << 14).budget(),
                         )
-                        .unwrap(),
+                        .unwrap()
+                        .runs,
                     )
                 })
             },

@@ -2,9 +2,8 @@
 //! experiment E1–E18 (see DESIGN.md for the index and EXPERIMENTS.md for
 //! the recorded outputs).
 //!
-//! Reached as `cargo run -p hm-bench --bin experiments [-- E1 E6 …]` or
-//! `hm exp E1 E6 …` (no names = run everything). Output is
-//! deterministic.
+//! Reached as `hm exp E1 E6 …` (`cargo run -p hm-bench --bin hm -- exp
+//! …`; no names = run everything). Output is deterministic.
 //!
 //! Every frame is constructed through the `hm-engine` pipeline — by
 //! registry spec string (`Engine::for_scenario("uncertain-start:…")`)
@@ -54,9 +53,19 @@ pub const NAMES: [&str; 18] = [
     "E16", "E17", "E18",
 ];
 
+/// One experiment body: prints its table, builds frames under the
+/// given limits.
+type Experiment = fn(&Limits) -> Result<(), EngineError>;
+
+/// The experiment bodies, in [`NAMES`] order.
+const BODIES: [Experiment; 18] = [
+    e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, e11, e12, e13, e14, e15, e16, e17, e18,
+];
+
 /// Runs the requested experiments (all of them when `requested` is
 /// empty), printing each series under a `==== En ====` header. Names
-/// that match nothing are silently skipped.
+/// outside [`NAMES`] match nothing; `hm exp` rejects them before
+/// calling this.
 ///
 /// Every engine build is governed by `limits` (pass
 /// [`Limits::none()`] for the classic ungoverned driver). The deadline
@@ -67,34 +76,9 @@ pub const NAMES: [&str; 18] = [
 ///
 /// The first [`EngineError`] an experiment hits — in particular
 /// [`EngineError::LimitExceeded`] when a resource budget fires.
-/// One experiment body: prints its table, builds frames under the
-/// given limits.
-type Experiment = fn(&Limits) -> Result<(), EngineError>;
-
 pub fn run(requested: &[String], limits: &Limits) -> Result<(), EngineError> {
     let want = |name: &str| requested.is_empty() || requested.iter().any(|r| r == name);
-
-    let experiments: &[(&str, Experiment)] = &[
-        ("E1", e1),
-        ("E2", e2),
-        ("E3", e3),
-        ("E4", e4),
-        ("E5", e5),
-        ("E6", e6),
-        ("E7", e7),
-        ("E8", e8),
-        ("E9", e9),
-        ("E10", e10),
-        ("E11", e11),
-        ("E12", e12),
-        ("E13", e13),
-        ("E14", e14),
-        ("E15", e15),
-        ("E16", e16),
-        ("E17", e17),
-        ("E18", e18),
-    ];
-    for (name, run) in experiments {
+    for (name, run) in NAMES.into_iter().zip(BODIES) {
         if want(name) {
             println!("==== {name} ====");
             run(limits)?;

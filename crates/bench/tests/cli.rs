@@ -207,6 +207,8 @@ fn usage_errors_exit_2() {
         &["describe"][..],
         &["frobnicate"][..],
         &["ask", "generals", "K1 dispatched", "--horizon"][..],
+        &["exp", "E99"][..],
+        &["ask", "generals", "K1 dispatched", "--parallel"][..],
     ] {
         let out = hm(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

@@ -104,7 +104,7 @@ pub type CrashPattern = Vec<Crash>;
 /// Panics unless `spec.f ∈ {1, 2, 3}` and `spec.n ∈ {3, 4, 5}` and
 /// `spec.n > spec.f` (the implemented range; the structure generalises
 /// but enumeration grows fast — beyond `f = 2` prefer
-/// [`agreement_system_reduced`]).
+/// [`agreement_system_reduced_budgeted`]).
 pub fn agreement_system(spec: AgreementSpec) -> System {
     agreement_system_budgeted(spec, &Budget::unlimited())
         .expect("unlimited budget cannot be exceeded")
@@ -536,18 +536,14 @@ pub fn canonical_patterns(spec: AgreementSpec) -> Vec<(CrashPattern, usize)> {
 /// the differential suite in `crates/engine/tests/symmetry.rs`. This is
 /// what makes `f = 3` buildable interactively.
 ///
+/// Runs under a resource [`Budget`] — strict and partial semantics as
+/// for [`agreement_system_budgeted`]. Pattern canonicalisation itself is
+/// budget-polled per naive pattern, so deadlines and cancellation
+/// interrupt even the pre-execution phase.
+///
 /// # Panics
 ///
 /// As for [`agreement_system`] on an out-of-range `spec`.
-pub fn agreement_system_reduced(spec: AgreementSpec) -> System {
-    agreement_system_reduced_budgeted(spec, &Budget::unlimited())
-        .expect("unlimited budget cannot be exceeded")
-}
-
-/// [`agreement_system_reduced`] under a resource [`Budget`] — strict
-/// and partial semantics as for [`agreement_system_budgeted`]. Pattern
-/// canonicalisation itself is budget-polled per naive pattern, so
-/// deadlines and cancellation interrupt even the pre-execution phase.
 ///
 /// # Errors
 ///
@@ -778,14 +774,6 @@ pub fn agreement_builder_reduced_budgeted(
     ))
 }
 
-/// Interprets the symmetry-reduced agreement system — the reduced
-/// counterpart of [`agreement_interpreted`].
-pub fn agreement_interpreted_reduced(spec: AgreementSpec) -> InterpretedSystem {
-    agreement_builder_reduced_budgeted(spec, &Budget::unlimited())
-        .expect("unlimited budget cannot be exceeded")
-        .build()
-}
-
 fn builder_with_facts(system: System, n: usize) -> hm_runs::InterpretedSystemBuilder {
     builder_with_facts_view(system, n, CompleteHistory)
 }
@@ -939,14 +927,27 @@ mod tests {
         assert_eq!(onset, Some(4), "CK at the end of round f+1 = 3");
     }
 
+    /// The reduced system of `spec`, unbudgeted.
+    fn reduced_system(spec: AgreementSpec) -> System {
+        agreement_system_reduced_budgeted(spec, &Budget::unlimited()).unwrap()
+    }
+
+    /// The reduced system of `spec` interpreted under its
+    /// `SymmetricHistory` view, unbudgeted.
+    fn reduced_interpreted(spec: AgreementSpec) -> InterpretedSystem {
+        agreement_builder_reduced_budgeted(spec, &Budget::unlimited())
+            .unwrap()
+            .build()
+    }
+
     #[test]
     fn ck_onset_is_preserved_by_the_reduced_build() {
         // The reduced frame must reproduce the paper's onset KATs
         // exactly: CK of the decision value at the end of round f+1,
         // not before, in the clean run.
-        let isys = agreement_interpreted_reduced(SPEC);
+        let isys = reduced_interpreted(SPEC);
         assert_eq!(ck_onset_in_clean_run(&isys, 0b110).unwrap(), Some(3));
-        let isys = agreement_interpreted_reduced(AgreementSpec { n: 3, f: 2 });
+        let isys = reduced_interpreted(AgreementSpec { n: 3, f: 2 });
         assert_eq!(ck_onset_in_clean_run(&isys, 0b110).unwrap(), Some(4));
     }
 
@@ -967,7 +968,7 @@ mod tests {
     #[test]
     fn safety_holds_on_reduced_systems() {
         for (n, f) in [(3, 1), (3, 2), (4, 1)] {
-            let system = agreement_system_reduced(AgreementSpec { n, f });
+            let system = reduced_system(AgreementSpec { n, f });
             let report = check_safety(&system);
             assert_eq!(report.agreement_violations, 0, "agreement (n={n}, f={f})");
             assert_eq!(report.validity_violations, 0, "validity (n={n}, f={f})");
@@ -989,12 +990,12 @@ mod tests {
             137_345,
             "naive pattern count covered"
         );
-        let system = agreement_system_reduced(spec);
+        let system = reduced_system(spec);
         assert_eq!(system.num_runs(), 6081 * 16, "16 input vectors per orbit");
         let report = check_safety(&system);
         assert_eq!(report.agreement_violations, 0, "agreement");
         assert_eq!(report.validity_violations, 0, "validity");
-        let isys = agreement_interpreted_reduced(spec);
+        let isys = reduced_interpreted(spec);
         assert_eq!(
             ck_onset_in_clean_run(&isys, 0b0110).unwrap(),
             Some(5),

@@ -19,8 +19,8 @@
 use hm_kripke::{AgentGroup, AgentId, WorldSet};
 use hm_logic::{EvalError, Formula, F};
 use hm_netsim::{
-    enumerate_system, BoundedUncertainDelay, Clocks, Command, EnumerateError, ExecutionSpec,
-    FnProtocol, LocalView,
+    enumerate, BoundedUncertainDelay, Clocks, Command, EnumerateError, ExecutionSpec, FnProtocol,
+    LocalView,
 };
 use hm_runs::{CompleteHistory, InterpretedSystem, Message, RunId, System};
 
@@ -213,7 +213,8 @@ pub fn uncertain_start_system(horizon: u64, global_clock: bool) -> Result<System
             }
         }
     }
-    enumerate_system(&protocol, &adversary, &specs, 4096)
+    let budget = hm_limits::Limits::none().max_runs(4096).budget();
+    enumerate(&protocol, &adversary, &specs, &budget)?.into_system()
 }
 
 /// Interprets [`uncertain_start_system`] with the fact `sent` ("p0 has

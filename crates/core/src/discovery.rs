@@ -15,7 +15,7 @@
 use hm_kripke::{AgentGroup, AgentId, WorldSet};
 use hm_logic::{EvalError, Formula};
 use hm_netsim::{
-    enumerate_system, Clocks, Command, EnumerateError, ExecutionSpec, FnProtocol, LocalView,
+    enumerate, Clocks, Command, EnumerateError, ExecutionSpec, FnProtocol, LocalView,
     SynchronousDelay,
 };
 use hm_runs::{CompleteHistory, Event, InterpretedSystem, Message};
@@ -179,7 +179,9 @@ pub fn deadlock_builder(
             break;
         }
     }
-    let sys = enumerate_system(&protocol, &SynchronousDelay { delay: 1 }, &specs, 8192)?;
+    let budget = hm_limits::Limits::none().max_runs(8192).budget();
+    let sys =
+        enumerate(&protocol, &SynchronousDelay { delay: 1 }, &specs, &budget)?.into_system()?;
     Ok(InterpretedSystem::builder(sys, CompleteHistory)
         .fact("deadlock", |run, _t| {
             let targets: Vec<u64> = run.procs.iter().map(|p| p.initial_state).collect();

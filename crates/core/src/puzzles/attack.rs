@@ -13,28 +13,13 @@
 //!   rules, each of which is either unsafe or never attacks.
 
 use hm_kripke::{AgentGroup, AgentId, WorldSet};
-use hm_limits::{Budget, LimitExceeded, Phase, Resource};
+use hm_limits::Budget;
 use hm_logic::{EvalCache, Formula, F};
 use hm_netsim::scenarios::{
-    attacks_in, generals_attack_system, generals_system_budgeted, generals_system_opts, ACT_ATTACK,
+    attacks_in, generals_attack_system, generals_system, generals_system_budgeted, ACT_ATTACK,
 };
-use hm_netsim::{enumeration_to_system, EnumerateError, Enumeration};
+use hm_netsim::EnumerateError;
 use hm_runs::{CompleteHistory, Event, InterpretedSystem, InterpretedSystemBuilder, RunId};
-
-/// Converts a possibly-truncated [`Enumeration`] into a [`System`],
-/// reporting a zero-run result as the budget exhaustion it is (a
-/// [`System`](hm_runs::System) cannot be empty).
-fn enumeration_to_nonempty_system(e: Enumeration) -> Result<hm_runs::System, EnumerateError> {
-    if e.runs.is_empty() {
-        return Err(EnumerateError::Limit(LimitExceeded {
-            resource: Resource::Runs,
-            phase: Phase::Enumerate,
-            spent: 1,
-            limit: 0,
-        }));
-    }
-    Ok(enumeration_to_system(e))
-}
 
 /// The generals' system interpreted under complete history, with the
 /// facts used by the analyses:
@@ -47,30 +32,25 @@ fn enumeration_to_nonempty_system(e: Enumeration) -> Result<hm_runs::System, Enu
 ///
 /// Propagates [`EnumerateError`] from run enumeration.
 pub fn generals_interpreted(horizon: u64) -> Result<InterpretedSystem, EnumerateError> {
-    Ok(generals_builder(horizon, false)?.build())
+    Ok(generals_builder(horizon)?.build())
 }
 
 /// The un-built form of [`generals_interpreted`]: the interpretation
 /// builder with the facts attached, for callers (the `hm-engine`
 /// scenario registry) that set build options — minimisation, in
-/// particular — before materialising. `parallel` selects threaded run
-/// enumeration; the system is identical either way.
+/// particular — before materialising.
 ///
 /// # Errors
 ///
 /// Propagates [`EnumerateError`] from run enumeration.
-pub fn generals_builder(
-    horizon: u64,
-    parallel: bool,
-) -> Result<InterpretedSystemBuilder, EnumerateError> {
-    Ok(builder_with_facts(generals_system_opts(horizon, parallel)?))
+pub fn generals_builder(horizon: u64) -> Result<InterpretedSystemBuilder, EnumerateError> {
+    Ok(builder_with_facts(generals_system(horizon)?))
 }
 
 /// [`generals_builder`] under a caller-supplied resource [`Budget`]. The
-/// strict/partial semantics are those of
-/// [`hm_netsim::enumerate_runs_budgeted`]; under a partial budget the
-/// underlying system may be flagged truncated, which the built
-/// [`InterpretedSystem`] reports via `is_partial`.
+/// strict/partial semantics are those of [`hm_netsim::enumerate`]; under
+/// a partial budget the underlying system may be flagged truncated,
+/// which the built [`InterpretedSystem`] reports via `is_partial`.
 ///
 /// # Errors
 ///
@@ -78,11 +58,10 @@ pub fn generals_builder(
 /// admitted zero runs.
 pub fn generals_builder_budgeted(
     horizon: u64,
-    parallel: bool,
     budget: &Budget,
 ) -> Result<InterpretedSystemBuilder, EnumerateError> {
-    let e = generals_system_budgeted(horizon, parallel, budget)?;
-    Ok(builder_with_facts(enumeration_to_nonempty_system(e)?))
+    let system = generals_system_budgeted(horizon, budget)?.into_system()?;
+    Ok(builder_with_facts(system))
 }
 
 /// The Theorem 7 frame (Section 7): a single would-be send from A to B
@@ -112,9 +91,7 @@ pub fn generals_unbounded_builder_budgeted(
     horizon: u64,
     budget: &Budget,
 ) -> Result<InterpretedSystemBuilder, EnumerateError> {
-    use hm_netsim::{
-        enumerate_runs_budgeted, Command, ExecutionSpec, FnProtocol, LocalView, UnboundedDelay,
-    };
+    use hm_netsim::{enumerate, Command, ExecutionSpec, FnProtocol, LocalView, UnboundedDelay};
     use hm_runs::Message;
     let protocol = FnProtocol::new("oneshot", |v: &LocalView<'_>| {
         if v.me.index() == 0 && v.initial_state == 1 && v.sent().count() == 0 {
@@ -126,24 +103,13 @@ pub fn generals_unbounded_builder_budgeted(
             Vec::new()
         }
     });
-    let mut runs = Vec::new();
-    let mut truncated = false;
-    for intent in 0..=1u64 {
-        let e = enumerate_runs_budgeted(
-            &protocol,
-            &UnboundedDelay { min_delay: 1 },
-            &ExecutionSpec::simple(2, horizon)
-                .with_initial_states(vec![intent, 0])
-                .with_label(format!("i{intent}")),
-            budget,
-        )?;
-        runs.extend(e.runs);
-        if e.truncated {
-            truncated = true;
-            break;
-        }
-    }
-    let system = enumeration_to_nonempty_system(Enumeration { runs, truncated })?;
+    let specs = [0, 1].map(|intent| {
+        ExecutionSpec::simple(2, horizon)
+            .with_initial_states(vec![intent, 0])
+            .with_label(format!("i{intent}"))
+    });
+    let system =
+        enumerate(&protocol, &UnboundedDelay { min_delay: 1 }, &specs, budget)?.into_system()?;
     Ok(
         InterpretedSystem::builder(system, CompleteHistory).fact("sent", |run, t| {
             run.proc(AgentId::new(0))

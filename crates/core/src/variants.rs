@@ -19,7 +19,7 @@ use hm_kripke::{AgentGroup, AgentId, WorldId, WorldSet};
 use hm_logic::{EvalError, Formula, F};
 use hm_netsim::scenarios::{ok_protocol_system, ok_psi, TAG_OK};
 use hm_netsim::{
-    enumerate_system, Clocks, Command, EnumerateError, ExecutionSpec, FnProtocol, LocalView,
+    enumerate, Clocks, Command, EnumerateError, ExecutionSpec, FnProtocol, LocalView,
     SynchronousDelay,
 };
 use hm_runs::{CompleteHistory, InterpretedSystem, Message, RunId};
@@ -281,7 +281,9 @@ pub fn skewed_broadcast_builder(
                 .with_label(format!("skew{d}"))
         })
         .collect();
-    let sys = enumerate_system(&protocol, &SynchronousDelay { delay: 1 }, &specs, 64)?;
+    let budget = hm_limits::Limits::none().max_runs(64).budget();
+    let sys =
+        enumerate(&protocol, &SynchronousDelay { delay: 1 }, &specs, &budget)?.into_system()?;
     Ok(
         InterpretedSystem::builder(sys, CompleteHistory).fact("sent_v", |run, t| {
             run.proc(AgentId::new(0))
@@ -484,7 +486,7 @@ mod tests {
     #[test]
     fn theorem11_on_unbounded_delay_generals() {
         // Rebuild the generals under unbounded delay: C^ε unattainable.
-        use hm_netsim::{enumerate_runs, UnboundedDelay};
+        use hm_netsim::{enumerate, UnboundedDelay};
         let protocol = FnProtocol::new("oneshot", |v: &LocalView<'_>| {
             if v.me.index() == 0 && v.initial_state == 1 && v.sent().count() == 0 {
                 vec![Command::Send {
@@ -495,21 +497,17 @@ mod tests {
                 Vec::new()
             }
         });
-        let mut runs = Vec::new();
-        for intent in 0..=1u64 {
-            runs.extend(
-                enumerate_runs(
-                    &protocol,
-                    &UnboundedDelay { min_delay: 1 },
-                    &ExecutionSpec::simple(2, 6)
-                        .with_initial_states(vec![intent, 0])
-                        .with_label(format!("i{intent}")),
-                    512,
-                )
-                .unwrap(),
-            );
-        }
-        let isys = InterpretedSystem::builder(hm_runs::System::new(runs), CompleteHistory)
+        let specs = [0, 1].map(|intent| {
+            ExecutionSpec::simple(2, 6)
+                .with_initial_states(vec![intent, 0])
+                .with_label(format!("i{intent}"))
+        });
+        let budget = hm_limits::Limits::none().max_runs(1024).budget();
+        let system = enumerate(&protocol, &UnboundedDelay { min_delay: 1 }, &specs, &budget)
+            .unwrap()
+            .into_system()
+            .unwrap();
+        let isys = InterpretedSystem::builder(system, CompleteHistory)
             .fact("sent", |run, t| {
                 run.proc(AgentId::new(0))
                     .events_before(t + 1)

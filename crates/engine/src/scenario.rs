@@ -7,7 +7,7 @@
 //! knows how to produce either a finite Kripke model or an
 //! interpretation *builder* (facts attached, not yet materialised), so
 //! the [`Engine`](crate::Engine) can apply its options — horizon,
-//! minimisation, parallel enumeration — uniformly before building.
+//! minimisation, resource limits — uniformly before building.
 //!
 //! [`ScenarioRegistry::builtin`] registers one entry per frame family of
 //! the E1–E18 experiments, each parameterized through the spec grammar
@@ -56,9 +56,6 @@ pub struct ScenarioParams {
     /// Horizon override; `None` uses the spec's `horizon` parameter (or
     /// the scenario's default).
     pub horizon: Option<u64>,
-    /// Explore adversary branches on threads where the scenario supports
-    /// it (the run set is identical either way).
-    pub parallel: bool,
     /// The resolved spec parameters (defaults filled in). Empty for
     /// scenarios built outside the registry.
     pub values: ParamValues,
@@ -433,7 +430,6 @@ impl Scenario for Generals {
     fn build(&self, params: &ScenarioParams) -> Result<ScenarioFrame, EngineError> {
         Ok(ScenarioFrame::Interpreted(generals_builder_budgeted(
             params.horizon_or(params.values.int("horizon")),
-            params.parallel,
             &params.budget,
         )?))
     }

@@ -336,8 +336,8 @@ impl Deadline {
 }
 
 /// Shared, thread-safe part of a [`Budget`]. One per `Limits::budget`
-/// call; every clone of the budget (e.g. per enumeration worker) points
-/// at the same counters, so ceilings are global across threads.
+/// call; every clone of the budget points at the same counters, so
+/// ceilings are global across threads.
 #[derive(Debug)]
 struct Shared {
     /// Anchored deadline and the duration it represents (for messages).
@@ -541,7 +541,7 @@ impl Budget {
 
     /// Accounts for one produced run and decides its fate: admitted,
     /// truncated (partial mode), or — strict mode — an error. The run
-    /// counter is shared across clones, so parallel workers share one
+    /// counter is shared across clones, so every clone shares one
     /// ceiling. Deadline and cancellation are also consulted here (runs
     /// are coarse enough to pay an immediate check), and under partial
     /// mode they truncate instead of failing.

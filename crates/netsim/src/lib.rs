@@ -7,8 +7,10 @@
 //! those quantifications finite and checkable: a [`JointProtocol`] is a
 //! deterministic function of local history (Section 5's definition), an
 //! [`Adversary`] enumerates the medium's choices per message, and
-//! [`enumerate_system`] explores every combination, yielding the complete
-//! `hm-runs` [`System`](hm_runs::System) over a horizon.
+//! [`enumerate`] — the crate's one enumeration entry point — explores
+//! every combination under a resource [`Budget`](hm_limits::Budget),
+//! yielding the complete `hm-runs` [`System`](hm_runs::System) over a
+//! horizon via [`Enumeration::into_system`].
 //!
 //! [`scenarios`] packages the paper's worked examples: the
 //! coordinated-attack handshake (Section 4), the R2–D2 channel in its
@@ -26,10 +28,5 @@ pub use adversary::{
     Adversary, BoundedUncertainDelay, InstantOrLost, InstantOrLostWindow, LossyFixedDelay, Outcome,
     SynchronousDelay, UnboundedDelay,
 };
-pub use executor::{
-    enumerate_runs, enumerate_runs_budgeted, enumerate_runs_deduped,
-    enumerate_runs_deduped_budgeted, enumerate_runs_parallel, enumerate_runs_parallel_budgeted,
-    enumerate_system, enumerate_system_budgeted, enumeration_to_system, CanonicalPrefixSet, Clocks,
-    EnumerateError, Enumeration, ExecutionSpec, PrefixStats,
-};
+pub use executor::{enumerate, Clocks, EnumerateError, Enumeration, ExecutionSpec};
 pub use protocol::{Command, FnProtocol, JointProtocol, LocalView, SeenEvent, Silent};

@@ -11,10 +11,7 @@
 //!   communication prevents `C^ε ψ`.
 
 use crate::adversary::{InstantOrLostWindow, LossyFixedDelay};
-use crate::executor::{
-    enumerate_runs, enumerate_runs_budgeted, enumerate_runs_parallel_budgeted, Clocks,
-    EnumerateError, Enumeration, ExecutionSpec,
-};
+use crate::executor::{enumerate, Clocks, EnumerateError, Enumeration, ExecutionSpec};
 use crate::protocol::{Command, FnProtocol, LocalView};
 use hm_kripke::AgentId;
 use hm_limits::Budget;
@@ -46,63 +43,41 @@ pub const TAG_OK: u32 = 3;
 /// Propagates [`EnumerateError`] (the run count is linear in the horizon,
 /// so the default limit is generous).
 pub fn generals_system(horizon: u64) -> Result<System, EnumerateError> {
-    generals_system_opts(horizon, false)
-}
-
-/// [`generals_system`] with the enumeration strategy exposed: `parallel`
-/// explores the adversary branches on scoped threads
-/// ([`enumerate_runs_parallel`](crate::enumerate_runs_parallel)); the run
-/// set is identical either way.
-pub fn generals_system_opts(horizon: u64, parallel: bool) -> Result<System, EnumerateError> {
     let budget = hm_limits::Limits::none().max_runs(4096).budget();
-    let e = generals_system_budgeted(horizon, parallel, &budget)?;
-    Ok(System::new(e.runs))
+    generals_system_budgeted(horizon, &budget)?.into_system()
 }
 
-/// [`generals_system_opts`] under a caller-supplied resource [`Budget`]
-/// (see [`enumerate_runs_budgeted`] for the strict/partial semantics).
-/// One budget spans both intent configurations, so a run ceiling bounds
-/// the *total*.
+/// [`generals_system`] under a caller-supplied resource [`Budget`]
+/// (see [`enumerate`] for the strict/partial semantics). One budget
+/// spans both intent configurations, so a run ceiling bounds the
+/// *total*.
 pub fn generals_system_budgeted(
     horizon: u64,
-    parallel: bool,
     budget: &Budget,
 ) -> Result<Enumeration, EnumerateError> {
     let protocol = handshake_protocol();
-    enumerate_intents(&protocol, horizon, parallel, budget)
+    enumerate(
+        &protocol,
+        &LossyFixedDelay { delay: 1 },
+        &intent_specs(horizon),
+        budget,
+    )
 }
 
-fn enumerate_intents(
-    protocol: &(dyn crate::protocol::JointProtocol + Sync),
-    horizon: u64,
-    parallel: bool,
-    budget: &Budget,
-) -> Result<Enumeration, EnumerateError> {
-    let mut runs = Vec::new();
-    let mut truncated = false;
-    for intent in 0..=1u64 {
-        let spec = ExecutionSpec::simple(2, horizon)
+/// The two initial configurations of the generals' frames, one per
+/// intent bit of A (labelled `intent0`, `intent1`).
+fn intent_specs(horizon: u64) -> [ExecutionSpec; 2] {
+    [0, 1].map(|intent| {
+        ExecutionSpec::simple(2, horizon)
             .with_initial_states(vec![intent, 0])
-            .with_label(format!("intent{intent}"));
-        let adversary = LossyFixedDelay { delay: 1 };
-        let e = if parallel {
-            enumerate_runs_parallel_budgeted(protocol, &adversary, &spec, budget)?
-        } else {
-            enumerate_runs_budgeted(protocol, &adversary, &spec, budget)?
-        };
-        runs.extend(e.runs);
-        if e.truncated {
-            truncated = true;
-            break;
-        }
-    }
-    Ok(Enumeration { runs, truncated })
+            .with_label(format!("intent{intent}"))
+    })
 }
 
 /// The handshake rule: A sends message `k` when it wants to attack and
 /// all its previous messages have been answered; B answers each incoming
 /// message once.
-fn handshake_protocol() -> impl crate::protocol::JointProtocol + Sync {
+fn handshake_protocol() -> impl crate::protocol::JointProtocol {
     FnProtocol::new("handshake", |v: &LocalView<'_>| {
         let sent = v.sent().count();
         let received = v.received().count();
@@ -170,8 +145,13 @@ pub fn generals_attack_system(
         cmds
     });
     let budget = hm_limits::Limits::none().max_runs(4096).budget();
-    let e = enumerate_intents(&protocol, horizon, false, &budget)?;
-    Ok(System::new(e.runs))
+    enumerate(
+        &protocol,
+        &LossyFixedDelay { delay: 1 },
+        &intent_specs(horizon),
+        &budget,
+    )?
+    .into_system()
 }
 
 /// `true` iff processor `i` attacks somewhere in `run`.
@@ -321,8 +301,8 @@ pub fn ok_protocol_system(horizon: u64) -> Result<System, EnumerateError> {
     let adversary = InstantOrLostWindow {
         lossy_until: horizon - 2,
     };
-    let runs = enumerate_runs(&protocol, &adversary, &spec, 65536)?;
-    Ok(System::new(runs))
+    let budget = hm_limits::Limits::none().max_runs(65536).budget();
+    enumerate(&protocol, &adversary, &[spec], &budget)?.into_system()
 }
 
 /// The ψ of the OK-protocol example: at `(run, t)`, some message sent at

@@ -15,12 +15,13 @@ use halpern_moses::core::puzzles::attack::{
     proposition4_check, AttackRuleOutcome,
 };
 use halpern_moses::kripke::{AgentGroup, AgentId};
+use halpern_moses::limits::Limits;
 use halpern_moses::logic::Formula;
 use halpern_moses::netsim::{
-    enumerate_runs, Command, ExecutionSpec, FnProtocol, LocalView, UnboundedDelay,
+    enumerate, Command, ExecutionSpec, FnProtocol, LocalView, UnboundedDelay,
 };
 use halpern_moses::runs::conditions;
-use halpern_moses::runs::{CompleteHistory, InterpretedSystem, Message, System};
+use halpern_moses::runs::{CompleteHistory, InterpretedSystem, Message};
 
 fn g2() -> AgentGroup {
     AgentGroup::all(2)
@@ -99,21 +100,17 @@ fn unbounded_oneshot(horizon: u64) -> InterpretedSystem {
             Vec::new()
         }
     });
-    let mut runs = Vec::new();
-    for intent in 0..=1u64 {
-        runs.extend(
-            enumerate_runs(
-                &protocol,
-                &UnboundedDelay { min_delay: 1 },
-                &ExecutionSpec::simple(2, horizon)
-                    .with_initial_states(vec![intent, 0])
-                    .with_label(format!("i{intent}")),
-                1024,
-            )
-            .unwrap(),
-        );
-    }
-    InterpretedSystem::builder(System::new(runs), CompleteHistory)
+    let specs = [0, 1].map(|intent| {
+        ExecutionSpec::simple(2, horizon)
+            .with_initial_states(vec![intent, 0])
+            .with_label(format!("i{intent}"))
+    });
+    let budget = Limits::none().max_runs(2048).budget();
+    let system = enumerate(&protocol, &UnboundedDelay { min_delay: 1 }, &specs, &budget)
+        .unwrap()
+        .into_system()
+        .unwrap();
+    InterpretedSystem::builder(system, CompleteHistory)
         .fact("sent", |run, t| {
             run.proc(AgentId::new(0))
                 .events_before(t + 1)

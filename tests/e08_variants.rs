@@ -42,10 +42,11 @@ fn e8_cev_strictly_weaker_than_ceps() {
     // unbounded) attains C^◇ sent but not C^ε sent — the separation the
     // paper draws between Theorem 11 and eventual common knowledge.
     use halpern_moses::kripke::AgentId;
+    use halpern_moses::limits::Limits;
     use halpern_moses::netsim::{
-        enumerate_runs, Adversary, Command, ExecutionSpec, FnProtocol, LocalView, Outcome,
+        enumerate, Adversary, Command, ExecutionSpec, FnProtocol, LocalView, Outcome,
     };
-    use halpern_moses::runs::{CompleteHistory, InterpretedSystem, Message, System};
+    use halpern_moses::runs::{CompleteHistory, InterpretedSystem, Message};
 
     /// Guaranteed delivery, unbounded delay. Delivery is capped at
     /// horizon − 1 so the receive enters the recipient's history inside
@@ -77,21 +78,17 @@ fn e8_cev_strictly_weaker_than_ceps() {
             Vec::new()
         }
     });
-    let mut runs = Vec::new();
-    for intent in 0..=1u64 {
-        runs.extend(
-            enumerate_runs(
-                &protocol,
-                &GuaranteedUnbounded,
-                &ExecutionSpec::simple(2, 6)
-                    .with_initial_states(vec![intent, 0])
-                    .with_label(format!("i{intent}")),
-                256,
-            )
-            .unwrap(),
-        );
-    }
-    let isys = InterpretedSystem::builder(System::new(runs), CompleteHistory)
+    let specs = [0, 1].map(|intent| {
+        ExecutionSpec::simple(2, 6)
+            .with_initial_states(vec![intent, 0])
+            .with_label(format!("i{intent}"))
+    });
+    let budget = Limits::none().max_runs(512).budget();
+    let system = enumerate(&protocol, &GuaranteedUnbounded, &specs, &budget)
+        .unwrap()
+        .into_system()
+        .unwrap();
+    let isys = InterpretedSystem::builder(system, CompleteHistory)
         .fact("sent", |run, t| {
             run.proc(AgentId::new(0))
                 .events_before(t + 1)
